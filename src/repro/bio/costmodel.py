@@ -52,11 +52,31 @@ class DatabaseProfile:
 
     def length(self, index: int) -> int:
         """Length of the 1-based entry ``index``."""
-        return int(self.lengths[index - 1])
+        return int(self.lengths[self._offset(index)])
 
     def family_of(self, index: int) -> int:
         """Family id of entry ``index`` (-1 for singletons)."""
-        return int(self.families[index - 1])
+        return int(self.families[self._offset(index)])
+
+    def _offset(self, index: int) -> int:
+        """0-based array offset of entry ``index``; rejects entries outside
+        1..N instead of letting numpy's negative indexing alias them."""
+        if not 1 <= index <= len(self.lengths):
+            raise BioError(
+                f"entry {index} outside database {self.name!r} "
+                f"(1..{len(self.lengths)})"
+            )
+        return index - 1
+
+    def check_entries(self, entries: np.ndarray) -> None:
+        """Reject any entry of an index array outside 1..N."""
+        if len(entries) and (entries.min() < 1
+                             or entries.max() > len(self.lengths)):
+            bad = entries[(entries < 1) | (entries > len(self.lengths))]
+            raise BioError(
+                f"entries outside database {self.name!r} "
+                f"(1..{len(self.lengths)}): {bad[:5].tolist()}"
+            )
 
     def family_partners(self, index: int) -> List[int]:
         """Other members of this entry's family (1-based indexes)."""
@@ -127,6 +147,61 @@ class DatabaseProfile:
         return cls(name, lengths, families)
 
 
+class QueueIndex:
+    """One queue file, indexed once for every TEU that aligns against it.
+
+    Holds the sorted entry array, the entries' lengths and the suffix
+    sums of those lengths (``suffix[k]`` = total length of the entries at
+    positions >= k), plus ``sequence``: the sorted entries as a Python
+    sequence (a ``range`` where the queue is one), from which synthetic
+    background matches are drawn. Building it is O(N log N); every query
+    after that is a binary search over the partition's entries only.
+    """
+
+    __slots__ = ("entries", "lengths", "suffix", "sequence")
+
+    def __init__(self, profile: DatabaseProfile, queue: Seq[int]):
+        if isinstance(queue, range) and queue.step > 0:
+            self.sequence: Seq[int] = queue
+        else:
+            self.sequence = sorted(int(i) for i in queue)
+        self.entries = (
+            np.arange(queue.start, queue.stop, queue.step, dtype=np.int64)
+            if isinstance(self.sequence, range)
+            else np.asarray(self.sequence, dtype=np.int64)
+        )
+        profile.check_entries(self.entries)
+        self.lengths = profile.lengths[self.entries - 1].astype(np.float64)
+        self.suffix = np.concatenate(
+            [np.cumsum(self.lengths[::-1])[::-1], [0.0]]
+        )
+
+    @classmethod
+    def of(cls, profile: DatabaseProfile,
+           queue: Seq[int] | QueueIndex) -> QueueIndex:
+        """``queue`` itself when already indexed, else its index."""
+        return queue if isinstance(queue, cls) else cls(profile, queue)
+
+    def require(self, entries: Seq[int]) -> None:
+        """BioError unless every one of ``entries`` is in the queue."""
+        wanted = np.asarray(entries, dtype=np.int64)
+        positions = np.searchsorted(self.entries, wanted)
+        found = np.zeros(len(wanted), dtype=bool)
+        inside = positions < len(self.entries)
+        found[inside] = self.entries[positions[inside]] == wanted[inside]
+        if not found.all():
+            raise BioError(
+                f"partition entries not in queue: "
+                f"{wanted[~found][:5].tolist()}"
+            )
+
+    def contains(self, entry: int) -> bool:
+        """Whether ``entry`` is in the queue (binary search)."""
+        position = int(np.searchsorted(self.entries, entry))
+        return (position < len(self.entries)
+                and int(self.entries[position]) == entry)
+
+
 @dataclass
 class CostModel:
     """CPU-cost model for Darwin-style activities, in seconds.
@@ -158,24 +233,30 @@ class CostModel:
         return len_a * len_b * self.refine_evaluations / self.cell_rate
 
     def teu_fixed_cost(self, profile: DatabaseProfile,
-                       partition: Seq[int], queue: Seq[int]) -> float:
+                       partition: Seq[int],
+                       queue: Seq[int] | QueueIndex) -> float:
         """Cost of aligning each partition entry against all later queue
-        entries (redundant comparisons ruled out, as in the paper)."""
-        queue_arr = np.asarray(sorted(queue), dtype=np.int64)
-        queue_lengths = profile.lengths[queue_arr - 1].astype(np.float64)
-        suffix = np.concatenate([np.cumsum(queue_lengths[::-1])[::-1], [0.0]])
-        positions = np.searchsorted(queue_arr, np.asarray(partition))
-        cells = 0.0
-        for pos, entry in zip(positions, partition):
-            # entries strictly after `entry` in the queue
-            cells += profile.length(entry) * suffix[pos + 1]
-        return cells * self.fixed_pam_factor / self.cell_rate
+        entries (redundant comparisons ruled out, as in the paper).
 
-    def teu_pair_count(self, partition: Seq[int], queue: Seq[int]) -> int:
-        queue_arr = np.asarray(sorted(queue), dtype=np.int64)
-        positions = np.searchsorted(queue_arr, np.asarray(partition))
-        total = len(queue_arr)
-        return int(sum(total - pos - 1 for pos in positions))
+        ``queue`` is an index list or a prebuilt :class:`QueueIndex`; the
+        per-entry cells are summed in partition order (a sequential fold,
+        not numpy's pairwise sum), so the float is the same either way.
+        """
+        index = QueueIndex.of(profile, queue)
+        part = np.asarray(partition, dtype=np.int64)
+        profile.check_entries(part)
+        cells = profile.lengths[part - 1] * index.suffix[
+            np.searchsorted(index.entries, part) + 1]
+        total = np.add.accumulate(cells)[-1] if len(cells) else 0.0
+        return total * self.fixed_pam_factor / self.cell_rate
+
+    def teu_pair_count(self, partition: Seq[int],
+                       queue: Seq[int] | QueueIndex) -> int:
+        """Pairs (i, j) with i in the partition and j a later queue entry."""
+        entries = (queue.entries if isinstance(queue, QueueIndex)
+                   else np.sort(np.asarray(queue, dtype=np.int64)))
+        positions = np.searchsorted(entries, np.asarray(partition))
+        return int(len(positions) * (len(entries) - 1) - positions.sum())
 
     def mean_refine_cost(self, profile: DatabaseProfile) -> float:
         mean_len = float(profile.lengths.mean())

@@ -25,10 +25,11 @@ always exact); merging respects both.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence as Seq
+from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Sequence as Seq
 
 from ..errors import BioError
-from .costmodel import CostModel, DatabaseProfile
+from .costmodel import CostModel, DatabaseProfile, QueueIndex
 from .matrices import MatrixFamily, default_family
 from .pam import refine_distance
 from .sequence import SequenceDatabase
@@ -99,6 +100,8 @@ class DarwinEngine:
         self.random_match_rate = random_match_rate
         self.sample_cap = sample_cap
         self.seed = seed
+        #: queue key -> QueueIndex, built on the first TEU of each queue.
+        self._queue_indexes: Dict[Hashable, QueueIndex] = {}
 
     @property
     def matrix_family(self) -> MatrixFamily:
@@ -117,23 +120,31 @@ class DarwinEngine:
     # Fixed-PAM first pass (one TEU)
     # ------------------------------------------------------------------
 
+    def queue_index(self, key: Hashable,
+                    entries: Callable[[], Seq[int]]) -> QueueIndex:
+        """The index of the queue named ``key``, built from ``entries()``
+        the first time any TEU asks for it."""
+        index = self._queue_indexes.get(key)
+        if index is None:
+            index = QueueIndex(self.profile, entries())
+            self._queue_indexes[key] = index
+        return index
+
     def align_partition(self, partition: Seq[int],
-                        queue: Seq[int]) -> Dict[str, Any]:
+                        queue: Seq[int] | QueueIndex) -> Dict[str, Any]:
         """Align every partition entry against all later queue entries.
 
+        ``queue`` is an index list or a prebuilt :class:`QueueIndex`.
         Returns ``{"match_set": ..., "cost": seconds, "pairs": int}`` where
         cost includes the Darwin initialization for this TEU.
         """
         partition = sorted(int(i) for i in partition)
-        queue = sorted(int(i) for i in queue)
-        queue_set = set(queue)
-        unknown = [i for i in partition if i not in queue_set]
-        if unknown:
-            raise BioError(f"partition entries not in queue: {unknown[:5]}")
+        queue = QueueIndex.of(self.profile, queue)
+        queue.require(partition)
         if self.mode == "real":
             match_set, pairs, cost = self._align_real(partition, queue)
         else:
-            match_set, pairs, cost = self._align_modeled(partition, queue_set, queue)
+            match_set, pairs, cost = self._align_modeled(partition, queue)
         cost += self.init_cost()
         cost += match_set["count"] * self.cost_model.match_record_cost
         return {"match_set": match_set, "cost": cost, "pairs": pairs}
@@ -145,7 +156,7 @@ class DarwinEngine:
         pairs = 0
         for i in partition:
             seq_i = self.database.entry(i)
-            for j in queue:
+            for j in queue.sequence:
                 if j <= i:
                     continue
                 seq_j = self.database.entry(j)
@@ -165,7 +176,7 @@ class DarwinEngine:
         }
         return match_set, pairs, cost
 
-    def _align_modeled(self, partition, queue_set, queue):
+    def _align_modeled(self, partition, queue: QueueIndex):
         cost = self.cost_model.teu_fixed_cost(self.profile, partition, queue)
         pairs = self.cost_model.teu_pair_count(partition, queue)
         rng = self._rng("teu", partition[0] if partition else 0, len(partition))
@@ -173,7 +184,7 @@ class DarwinEngine:
         # Homologous pairs: deterministic from the family structure.
         for i in partition:
             for j in self.profile.family_partners(i):
-                if j > i and j in queue_set:
+                if j > i and queue.contains(j):
                     min_len = min(self.profile.length(i), self.profile.length(j))
                     score = max(
                         self.match_threshold,
@@ -184,7 +195,7 @@ class DarwinEngine:
         family_count = len(matches)
         n_random = self._binomial(rng, max(0, pairs - family_count),
                                   self.random_match_rate)
-        queue_list = queue
+        queue_list = queue.sequence
         for _ in range(min(n_random, self.sample_cap)):
             i = rng.choice(partition)
             later = [j for j in (rng.choice(queue_list) for _ in range(8)) if j > i]

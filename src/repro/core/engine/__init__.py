@@ -15,7 +15,7 @@ from .instance import (
     TaskState,
 )
 from .library import ProgramContext, ProgramFn, ProgramRegistry, ProgramResult
-from .navigator import Navigator
+from .navigator import Navigator, WaitReason
 from .recovery import (
     failure_timeline,
     recovery_report,
@@ -41,6 +41,7 @@ __all__ = [
     "StandbyMonitor",
     "attach_standby",
     "Navigator",
+    "WaitReason",
     "Dispatcher",
     "JobRequest",
     "ProcessInstance",

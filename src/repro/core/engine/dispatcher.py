@@ -32,8 +32,8 @@ thousands of queued jobs:
   ``candidates``/``select`` contract. Both paths make identical choices.
 
 Queued jobs removed out of FIFO order (``drop_instance``) are tombstoned —
-their key no longer maps to their sequence number — and physically
-discarded when ``pump`` next reaches them.
+their key no longer maps to them — and physically discarded when ``pump``
+next reaches them.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class Dispatcher:
         self.policy = policy or CapacityAwarePolicy()
         #: placement tag -> FIFO deque (may hold tombstoned entries).
         self._queues: Dict[str, Deque[JobRequest]] = {}
-        #: live queued jobs: key -> seq of the one live request per key.
-        self._queued: Dict[str, int] = {}
+        #: live queued jobs: key -> the one live request per key.
+        self._queued: Dict[str, JobRequest] = {}
         #: instance -> keys of its live queued jobs (abort path).
         self._queued_by_instance: Dict[str, Set[str]] = {}
         #: tags whose whole queue segment is waiting for capacity.
@@ -105,6 +105,11 @@ class Dispatcher:
         #: optional fn(job_id) invoked whenever an in-flight job is
         #: released — the single choke point the lease table hangs off.
         self.on_release = None
+        #: optional fn(job) invoked whenever a queued or in-flight job
+        #: leaves the dispatcher (placed jobs leave the queue only): the
+        #: server re-marks the task for navigation, which skips tasks
+        #: with pending jobs.
+        self.on_leave = None
         #: optional fn() invoked once per pump, after the last dispatch
         #: record and before any job reaches the environment — the server
         #: wires a store flush here so grouped commits become durable
@@ -125,7 +130,7 @@ class Dispatcher:
             return False
         job.seq = next(self._seq)
         self._queues.setdefault(job.placement, deque()).append(job)
-        self._queued[job.key] = job.seq
+        self._queued[job.key] = job
         self._queued_by_instance.setdefault(
             job.instance_id, set()
         ).add(job.key)
@@ -134,6 +139,15 @@ class Dispatcher:
     def is_pending(self, instance_id: str, task_path: str) -> bool:
         key = f"{instance_id}:{task_path}"
         return key in self._queued or key in self._inflight_keys
+
+    def queued_job(self, instance_id: str,
+                   task_path: str) -> Optional[JobRequest]:
+        """The task's job while it waits in the queue, else None."""
+        return self._queued.get(f"{instance_id}:{task_path}")
+
+    def _leave(self, job: JobRequest) -> None:
+        if self.on_leave is not None:
+            self.on_leave(job)
 
     def _forget_queued(self, job: JobRequest) -> None:
         """Remove a queued job from the live indexes (placed/vetoed)."""
@@ -152,8 +166,10 @@ class Dispatcher:
         Returns the total number of jobs removed."""
         removed = 0
         for key in self._queued_by_instance.pop(instance_id, ()):
-            if self._queued.pop(key, None) is not None:
+            job = self._queued.pop(key, None)
+            if job is not None:
                 removed += 1
+                self._leave(job)
         for job_id in sorted(self._inflight_by_instance.get(instance_id, ())):
             if self.job_finished(job_id) is not None:
                 removed += 1
@@ -189,7 +205,7 @@ class Dispatcher:
             _seq, tag = heapq.heappop(heads)
             queue = self._queues[tag]
             job = queue.popleft()
-            if self._queued.get(job.key) != job.seq:
+            if self._queued.get(job.key) is not job:
                 pass  # tombstoned by drop_instance: discard silently
             elif not self._is_dispatchable(job.instance_id):
                 survivors[tag].append(job)
@@ -205,13 +221,14 @@ class Dispatcher:
                     survivors[tag].append(job)
                     while queue:
                         waiter = queue.popleft()
-                        if self._queued.get(waiter.key) == waiter.seq:
+                        if self._queued.get(waiter.key) is waiter:
                             survivors[tag].append(waiter)
                     self._blocked_tags.add(tag)
                     continue
                 if not self._record_dispatch(job, node):
                     # The server vetoed (instance gone / task not current).
                     self._forget_queued(job)
+                    self._leave(job)
                 else:
                     self._forget_queued(job)
                     # Crash between the durable task_dispatched record and
@@ -272,6 +289,7 @@ class Dispatcher:
             self.awareness.release(node, job_id)
             if self.on_release is not None:
                 self.on_release(job_id)
+            self._leave(job)
         return entry
 
     def jobs_on_node(self, node: str) -> List[str]:

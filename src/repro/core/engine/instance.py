@@ -18,7 +18,8 @@ frame; a subprocess task owns a frame with its own whiteboard.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+import heapq
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ...errors import EngineError, InvalidStateError
 from ..model.data import Binding, UNDEFINED, Whiteboard
@@ -47,13 +48,20 @@ ABORTED = "aborted"
 TemplateResolver = Callable[[str, Optional[int]], ProcessTemplate]
 
 
+def _frame_path(task_path: str) -> str:
+    """Path of the frame holding the task at ``task_path``."""
+    if "/" in task_path:
+        return task_path.rsplit("/", 1)[0] + "/"
+    return ""
+
+
 class TaskState:
     """Mutable runtime record of one task occurrence."""
 
     __slots__ = (
         "name", "path", "status", "attempts", "program_failures",
         "outputs", "node", "program", "failure_reason", "alternative",
-        "dispatched_at", "finished_at", "cost", "element",
+        "dispatched_at", "finished_at", "cost", "element", "position",
     )
 
     def __init__(self, name: str, path: str, element: Any = None):
@@ -71,6 +79,7 @@ class TaskState:
         self.finished_at: Optional[float] = None
         self.cost = 0.0              # accumulated CPU seconds (all attempts)
         self.element = element       # parallel element value, if any
+        self.position = 0            # index in its frame's state order
 
     @property
     def terminal(self) -> bool:
@@ -81,11 +90,20 @@ class TaskState:
 
 
 class Frame:
-    """One executing graph scope."""
+    """One executing graph scope.
+
+    Besides its task states a frame carries its share of the instance's
+    ready set: ``seq`` (creation order, which is also its position in
+    ``ProcessInstance.frames``), ``names`` (state names by position;
+    ``TaskState.position`` is the inverse), ``pending`` (how many states
+    are not yet terminal) and ``conditional`` (positions of states whose
+    incoming connectors carry a data-reading activation condition).
+    """
 
     __slots__ = (
         "path", "kind", "owner_path", "graph", "whiteboard_path",
         "template", "states", "elements", "parallel_task",
+        "seq", "names", "pending", "conditional", "deleted_pass",
     )
 
     def __init__(self, path: str, kind: str, owner_path: str,
@@ -111,6 +129,17 @@ class Frame:
                 state = TaskState(body_name, f"{path}{body_name}",
                                   element=element)
                 self.states[body_name] = state
+        self.seq = 0  # stamped by ReadySet.add_frame
+        self.names = list(self.states)
+        for position, state in enumerate(self.states.values()):
+            state.position = position
+        self.pending = len(self.names)
+        self.conditional = sorted({
+            self.states[c.target].position for c in graph.connectors
+            if next(c.condition.references(), None) is not None
+        })
+        #: navigation pass during which a task reset deleted this frame.
+        self.deleted_pass: Optional[int] = None
 
     def task_model(self, name: str) -> Task:
         """The template task behind a runtime task name."""
@@ -122,7 +151,7 @@ class Frame:
         return task
 
     def complete(self) -> bool:
-        return all(state.terminal for state in self.states.values())
+        return self.pending == 0
 
     def __repr__(self):
         return f"<Frame {self.path!r} ({self.kind})>"
@@ -152,6 +181,135 @@ class _FrameScope:
         return state.outputs.get(binding.field, UNDEFINED)
 
 
+class ReadySet:
+    """The states and frames navigation has to look at next.
+
+    :meth:`ProcessInstance.apply` keeps it current; the navigator drains
+    it. A state is *dirty* when something it depends on changed since the
+    navigator last looked at it: its own status, the status of a
+    predecessor (a status change marks the ``graph.outgoing``
+    successors), an AWAIT signal, or data its activation condition
+    reads. The server also re-marks a state
+    whose job left the dispatcher without an instance event. A state
+    that is not dirty is one a full scan would pass over without acting.
+
+    A navigation pass (:meth:`begin_pass`, then :meth:`next_state` until
+    it returns None) visits dirty states in full-scan order: frame
+    creation order (= ``ProcessInstance.frames`` order), then state order
+    within the frame. A state marked behind the pass cursor, or in a
+    frame created during the pass, waits for the next pass, exactly as a
+    scan over the frames and states listed at the start of the pass would
+    have it. A frame deleted by a task reset during the pass is still
+    visited (the scan's list held it); one deleted earlier is not.
+
+    *Done* frames are non-root frames whose last non-terminal state just
+    became terminal; :meth:`next_done_frame` yields them deepest first
+    (``-len(path)``, then creation order).
+    """
+
+    __slots__ = ("_frame_seq", "_heap", "_dirty", "_deferred", "_cursor",
+                 "_limit", "_done", "_done_seqs", "passes")
+
+    def __init__(self) -> None:
+        self._frame_seq = 0
+        #: heap of (frame seq, state position, frame) for dirty states.
+        self._heap: List[Tuple[int, int, Frame]] = []
+        self._dirty: Set[Tuple[int, int]] = set()
+        #: dirty entries met behind the cursor; re-queued by begin_pass.
+        self._deferred: List[Tuple[int, int, Frame]] = []
+        self._cursor: Tuple[int, int] = (0, 0)
+        self._limit = 0
+        #: heap of (-len(path), frame seq, frame) for done frames.
+        self._done: List[Tuple[int, int, Frame]] = []
+        self._done_seqs: Set[int] = set()
+        #: passes begun so far (task resets stamp deleted frames with it).
+        self.passes = 0
+
+    def add_frame(self, frame: Frame) -> None:
+        """A new frame: every one of its states is dirty."""
+        self._frame_seq += 1
+        frame.seq = self._frame_seq
+        self.mark_all([frame])
+
+    def mark(self, frame: Frame, position: int) -> None:
+        key = (frame.seq, position)
+        if key not in self._dirty:
+            self._dirty.add(key)
+            heapq.heappush(self._heap, (frame.seq, position, frame))
+
+    def touch(self, frame: Frame, state: TaskState,
+              was_terminal: bool) -> None:
+        """``state`` changed status (or was replaced by a reset)."""
+        mark = self.mark
+        mark(frame, state.position)
+        for connector in frame.graph.outgoing(state.name):
+            mark(frame, frame.states[connector.target].position)
+        for position in frame.conditional:
+            mark(frame, position)
+        terminal = state.status in TERMINAL
+        if terminal != was_terminal:
+            frame.pending += -1 if terminal else 1
+            if not frame.pending:
+                self.frame_done(frame)
+
+    def frame_done(self, frame: Frame) -> None:
+        if frame.kind != "root" and frame.seq not in self._done_seqs:
+            self._done_seqs.add(frame.seq)
+            heapq.heappush(self._done, (-len(frame.path), frame.seq, frame))
+
+    def clear(self) -> None:
+        """Forget every mark: nothing navigates a terminal instance, and
+        reopening one (a task reset) marks everything again."""
+        self._heap, self._dirty, self._deferred = [], set(), []
+        self._done, self._done_seqs = [], set()
+
+    def mark_all(self, frames: List[Frame]) -> None:
+        """Everything dirty: an instance rebuilt by replay (recovery,
+        standby promotion, migration adoption) or reopened by a reset."""
+        for frame in frames:
+            for position in range(len(frame.names)):
+                self.mark(frame, position)
+            if not frame.pending:
+                self.frame_done(frame)
+
+    # -- draining (the navigator) -----------------------------------------
+
+    def begin_pass(self) -> None:
+        self.passes += 1
+        for entry in self._deferred:
+            heapq.heappush(self._heap, entry)
+        self._deferred = []
+        self._cursor = (0, 0)
+        self._limit = self._frame_seq
+
+    def next_state(self) -> Optional[Tuple[Frame, TaskState]]:
+        """The next dirty state of this pass, now clean; None at the end."""
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            key = entry[:2]
+            if key < self._cursor or entry[0] > self._limit:
+                self._deferred.append(entry)
+                continue
+            self._dirty.discard(key)
+            self._cursor = (key[0], key[1] + 1)
+            frame = entry[2]
+            if frame.deleted_pass not in (None, self.passes):
+                continue
+            return frame, frame.states[frame.names[key[1]]]
+        return None
+
+    def next_done_frame(self) -> Optional[Frame]:
+        """The deepest pending done frame. An owner's completion can only
+        finish an enclosing frame, which sorts after the current one, so
+        popping in key order is the stable ``-len(path)`` scan order."""
+        if not self._done:
+            return None
+        _depth, seq, frame = heapq.heappop(self._done)
+        self._done_seqs.discard(seq)
+        return frame
+
+
 class ProcessInstance:
     """Event-sourced runtime state of one process execution."""
 
@@ -175,6 +333,7 @@ class ProcessInstance:
         #: on task completion or injected from outside).
         self.signals: set = set()
         self.event_count = 0
+        self.ready = ReadySet()
 
     # ------------------------------------------------------------------
     # Event application (the ONLY state mutator)
@@ -190,6 +349,10 @@ class ProcessInstance:
     def replay(self, events: Iterator[Dict[str, Any]]) -> "ProcessInstance":
         for event in events:
             self.apply(event)
+        if self.terminal:
+            self.ready.clear()
+        else:
+            self.ready.mark_all(list(self.frames.values()))
         return self
 
     # -- instance lifecycle -------------------------------------------------
@@ -210,10 +373,10 @@ class ProcessInstance:
                     f"instance {self.id}: required input {param.name!r} missing"
                 )
         self.whiteboards[""] = board
-        self.frames[""] = Frame(
+        self._add_frame(Frame(
             path="", kind="root", owner_path="", graph=template.graph,
             whiteboard_path="", template=template,
-        )
+        ))
         self.status = CREATED
 
     def _on_instance_started(self, event):
@@ -237,11 +400,21 @@ class ProcessInstance:
 
     # -- task lifecycle -------------------------------------------------------
 
-    def _state(self, path: str) -> TaskState:
-        state = self.find_state(path)
+    def _locate(self, path: str) -> Tuple[Frame, TaskState]:
+        frame = self.frames.get(_frame_path(path))
+        state = (None if frame is None
+                 else frame.states.get(path.rsplit("/", 1)[-1]))
         if state is None:
             raise EngineError(f"instance {self.id}: unknown task path {path!r}")
-        return state
+        return frame, state
+
+    def _set_status(self, path: str, status: str) -> Tuple[Frame, TaskState]:
+        """Change a task's status, keeping the ready set current."""
+        frame, state = self._locate(path)
+        was_terminal = state.status in TERMINAL
+        state.status = status
+        self.ready.touch(frame, state, was_terminal)
+        return frame, state
 
     def _on_task_dispatched(self, event):
         if event["path"].endswith("#comp"):
@@ -249,8 +422,7 @@ class ProcessInstance:
                 if entry["task"] == event["path"][: -len("#comp")]:
                     entry["status"] = "dispatched"
             return
-        state = self._state(event["path"])
-        state.status = DISPATCHED
+        _frame, state = self._set_status(event["path"], DISPATCHED)
         state.attempts = event["attempt"]
         state.node = event["node"]
         state.program = event["program"]
@@ -261,38 +433,38 @@ class ProcessInstance:
         if path.endswith("#comp"):
             self._comp_done(path, success=True)
             return
-        state = self._state(path)
-        state.status = COMPLETED
+        frame, state = self._set_status(path, COMPLETED)
         state.outputs = event["outputs"]
         state.finished_at = event["time"]
         state.cost += event.get("cost", 0.0)
-        frame = self.frame_of(path)
         task = frame.task_model(state.name)
         board = self.whiteboard_for(frame)
+        written = False
         for field, wb_name in task.output_mappings:
             value = event["outputs"].get(field, UNDEFINED)
             if value is not UNDEFINED:
                 board.set(wb_name, value)
+                written = True
+        if written:
+            self._whiteboard_written(frame.whiteboard_path)
 
     def _on_task_failed(self, event):
         path = event["path"]
         if path.endswith("#comp"):
             self._comp_done(path, success=False)
             return
-        state = self._state(path)
-        state.status = FAILED
+        _frame, state = self._set_status(path, FAILED)
         state.failure_reason = event["reason"]
         state.finished_at = event["time"]
         if event["reason"] not in ev.INFRASTRUCTURE_REASONS:
             state.program_failures += 1
 
     def _on_task_skipped(self, event):
-        state = self._state(event["path"])
-        state.status = SKIPPED
+        self._set_status(event["path"], SKIPPED)
 
     def _on_task_reset(self, event):
         path = event["path"]
-        state = self._state(path)
+        frame, state = self._locate(path)
         # Resetting a task in a finished instance reopens the instance
         # (the paper's "the process was re-started and BioOpera immediately
         # re-scheduled the TEUs").
@@ -301,11 +473,14 @@ class ProcessInstance:
             self.outputs = {}
             self.abort_reason = ""
             self.finished_at = None
+            # States the navigator acted on before the instance ended
+            # (the failure that aborted it, say) are live again.
+            self.ready.mark_all(list(self.frames.values()))
         # Drop any frame the task had expanded into.
         prefix = f"{path}/"
         for frame_path in [p for p in self.frames if p.startswith(prefix)
                            or p == prefix]:
-            del self.frames[frame_path]
+            self.frames.pop(frame_path).deleted_pass = self.ready.passes
             self.whiteboards.pop(frame_path, None)
         fresh = TaskState(state.name, state.path, element=state.element)
         # Accounting and failure budgets survive the reset so structured-task
@@ -313,42 +488,43 @@ class ProcessInstance:
         fresh.cost = state.cost
         fresh.attempts = state.attempts
         fresh.program_failures = state.program_failures
-        self.frame_of(path).states[state.name] = fresh
+        fresh.position = state.position
+        frame.states[state.name] = fresh
+        self.ready.touch(frame, fresh, state.terminal)
 
     # -- structure expansion -----------------------------------------------------
 
+    def _add_frame(self, frame: Frame) -> None:
+        self.frames[frame.path] = frame
+        self.ready.add_frame(frame)
+
     def _on_block_started(self, event):
         path = event["path"]
-        state = self._state(path)
-        state.status = EXPANDED
-        frame = self.frame_of(path)
+        frame, state = self._set_status(path, EXPANDED)
         task = frame.task_model(state.name)
         if not isinstance(task, Block):
             raise EngineError(f"{path!r} is not a block")
-        self.frames[f"{path}/"] = Frame(
+        self._add_frame(Frame(
             path=f"{path}/", kind="block", owner_path=path,
             graph=task.graph, whiteboard_path=frame.whiteboard_path,
-        )
+        ))
 
     def _on_parallel_expanded(self, event):
         path = event["path"]
-        state = self._state(path)
-        state.status = EXPANDED
-        frame = self.frame_of(path)
+        frame, state = self._set_status(path, EXPANDED)
         task = frame.task_model(state.name)
         if not isinstance(task, ParallelTask):
             raise EngineError(f"{path!r} is not a parallel task")
-        self.frames[f"{path}/"] = Frame(
+        self._add_frame(Frame(
             path=f"{path}/", kind="parallel", owner_path=path,
             graph=TaskGraph(tasks=[], connectors=[]),
             whiteboard_path=frame.whiteboard_path,
             elements=event["elements"], parallel_task=task,
-        )
+        ))
 
     def _on_subprocess_started(self, event):
         path = event["path"]
-        state = self._state(path)
-        state.status = EXPANDED
+        self._set_status(path, EXPANDED)
         template = self.resolver(event["template_name"], event["version"])
         board = Whiteboard()
         for param in template.parameters:
@@ -363,11 +539,11 @@ class ProcessInstance:
                 )
         frame_path = f"{path}/"
         self.whiteboards[frame_path] = board
-        self.frames[frame_path] = Frame(
+        self._add_frame(Frame(
             path=frame_path, kind="subprocess", owner_path=path,
             graph=template.graph, whiteboard_path=frame_path,
             template=template,
-        )
+        ))
 
     # -- data & compensation --------------------------------------------------------
 
@@ -378,6 +554,14 @@ class ProcessInstance:
                 f"no whiteboard at scope {event['scope']!r}"
             )
         board.set(event["name"], event["value"])
+        self._whiteboard_written(event["scope"])
+
+    def _whiteboard_written(self, scope: str) -> None:
+        """Conditions reading this whiteboard may now decide differently."""
+        for frame in self.frames.values():
+            if frame.conditional and frame.whiteboard_path == scope:
+                for position in frame.conditional:
+                    self.ready.mark(frame, position)
 
     def _on_sphere_compensating(self, event):
         self.compensating_sphere = event["sphere"]
@@ -398,7 +582,26 @@ class ProcessInstance:
         ]
 
     def _on_signal_raised(self, event):
-        self.signals.add(event["name"])
+        name = event["name"]
+        self.signals.add(name)
+        # Wake the tasks whose AWAIT clause names the signal.
+        for frame in self.frames.values():
+            if frame.kind == "parallel":
+                if name in frame.parallel_task.body.awaits:
+                    for position in range(len(frame.names)):
+                        self.ready.mark(frame, position)
+                continue
+            for task_name, task in frame.graph.tasks.items():
+                if name in task.awaits:
+                    self.ready.mark(frame, frame.states[task_name].position)
+
+    def mark_dirty(self, task_path: str) -> None:
+        """Re-mark a task whose dispatcher job left without an event."""
+        if task_path.endswith("#comp"):
+            return
+        state = self.find_state(task_path)
+        if state is not None:
+            self.ready.mark(self.frame_of(task_path), state.position)
 
     def _comp_done(self, comp_path: str, success: bool) -> None:
         task_path = comp_path[: -len("#comp")]
@@ -414,10 +617,7 @@ class ProcessInstance:
 
     def frame_of(self, task_path: str) -> Frame:
         """The frame containing the task at ``task_path``."""
-        if "/" in task_path:
-            frame_path = task_path.rsplit("/", 1)[0] + "/"
-        else:
-            frame_path = ""
+        frame_path = _frame_path(task_path)
         frame = self.frames.get(frame_path)
         if frame is None:
             raise EngineError(

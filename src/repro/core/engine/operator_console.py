@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from .instance import COMPLETED, FAILED
+from .navigator import WaitReason
 from .server import BioOperaServer
 
 
@@ -97,6 +98,13 @@ class OperatorConsole:
                     "node": state.node,
                 })
         return sorted(rows, key=lambda r: r["path"])
+
+    def explain_wait(self, instance_id: str, task_path: str) -> WaitReason:
+        """Why is this task not running? Unfinished predecessors, missing
+        AWAIT signals, a job queued for a node (with its placement tag),
+        a job running (node, lease), a suspended or ended instance — or
+        nothing: the next navigation starts it."""
+        return self.server.explain_wait(instance_id, task_path)
 
     def intermediate_results(self, instance_id: str,
                              prefix: str = "") -> Dict[str, Any]:

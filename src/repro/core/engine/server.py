@@ -28,6 +28,7 @@ from ...errors import (
     EngineError,
     InvalidStateError,
     UnknownInstanceError,
+    UnknownTaskError,
     UnknownTemplateError,
 )
 from ...faults.points import fire
@@ -39,12 +40,15 @@ from . import events as ev
 from .dispatcher import Dispatcher, JobRequest
 from .instance import (
     DISPATCHED,
+    EXPANDED,
+    INACTIVE,
     ProcessInstance,
     RUNNING,
     SUSPENDED,
 )
 from .library import ProgramRegistry
-from .navigator import Navigator
+from . import navigator as nav
+from .navigator import Navigator, WaitReason
 from .scheduler import SchedulingPolicy
 
 
@@ -169,6 +173,7 @@ class BioOperaServer:
             is_dispatchable=self._is_dispatchable,
         )
         self.dispatcher.on_release = self._release_lease
+        self.dispatcher.on_leave = self._job_left
         self.dispatcher.pre_submit = self._sync_barrier
 
     # ------------------------------------------------------------------
@@ -610,6 +615,14 @@ class BioOperaServer:
         if self.leases is not None:
             self._grant_lease(job, node)
         return True
+
+    def _job_left(self, job: JobRequest) -> None:
+        # Navigation passes over a task whose job is pending; once the job
+        # is gone (vetoed, dropped, finished) the task needs a fresh look
+        # even when no instance event records the departure.
+        instance = self.instances.get(job.instance_id)
+        if instance is not None:
+            instance.mark_dirty(job.task_path)
 
     def _submit_job(self, job: JobRequest, node: str) -> None:
         if self.environment is None:
@@ -1335,6 +1348,45 @@ class BioOperaServer:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+
+    def explain_wait(self, instance_id: str, task_path: str) -> WaitReason:
+        """Why the task at ``task_path`` is not running right now."""
+        instance = self.instance(instance_id)
+        state = instance.find_state(task_path)
+        if state is None or task_path.endswith("#comp"):
+            raise UnknownTaskError(
+                f"instance {instance_id!r} has no task {task_path!r}"
+            )
+
+        def reason(kind: str, **detail) -> WaitReason:
+            return WaitReason(task_path, kind, state.status, instance.status,
+                              **detail)
+
+        if instance.terminal:
+            return reason(nav.WAIT_INSTANCE_TERMINAL)
+        if state.terminal:
+            return reason(nav.WAIT_FINISHED)
+        if state.status == DISPATCHED:
+            lease = self._leases.get(
+                f"{instance_id}:{task_path}:{state.attempts}")
+            expires = (None if lease is None
+                       else getattr(lease["event"], "time", None))
+            return reason(nav.WAIT_DISPATCHED, node=state.node,
+                          attempt=state.attempts, lease_expires=expires)
+        if instance.status == SUSPENDED:
+            return reason(nav.WAIT_INSTANCE_SUSPENDED)
+        job = self.dispatcher.queued_job(instance_id, task_path)
+        if job is not None:
+            return reason(nav.WAIT_QUEUED, placement=job.placement,
+                          attempt=job.attempt)
+        if state.status == EXPANDED:
+            return reason(nav.WAIT_EXPANDED)
+        if state.status == INACTIVE:
+            parked = self.navigator.parked_on(
+                instance, instance.frame_of(task_path), state)
+            if parked is not None:
+                return parked
+        return reason(nav.WAIT_READY)
 
     def statistics(self, instance_id: str) -> Dict[str, Any]:
         """The paper's accounting: CPU(pi), |A|, CPU(A), status."""

@@ -91,6 +91,10 @@ class MigratedInstanceError(UnknownInstanceError):
         self.forwarded_to = forwarded_to
 
 
+class UnknownTaskError(EngineError):
+    """An operation named a task path the process instance does not have."""
+
+
 class UnknownShardError(EngineError):
     """An instance id names a shard that is not part of the plane.
 

@@ -76,9 +76,12 @@ def register_all_vs_all_programs(registry: ProgramRegistry,
 
     def align_fixed_pam(inputs: Dict[str, Any],
                         ctx: ProgramContext) -> ProgramResult:
-        partition = partitioning.expand(inputs["partition"])
-        queue = partitioning.expand(inputs["queue"])
-        result = darwin.align_partition(partition, queue)
+        queue = inputs["queue"]
+        index = darwin.queue_index(partitioning.queue_key(queue),
+                                   lambda: partitioning.sequence(queue))
+        result = darwin.align_partition(
+            partitioning.expand(inputs["partition"]), index
+        )
         return ProgramResult(
             {"match_set": result["match_set"], "pairs": result["pairs"]},
             cost=result["cost"],

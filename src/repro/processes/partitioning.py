@@ -21,7 +21,7 @@ pair counts out to the residual variance of sequence lengths.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from ..bio.costmodel import DatabaseProfile
 from ..errors import ReproError
@@ -42,18 +42,32 @@ def list_queue(entries: Sequence[int]) -> Dict[str, Any]:
     return {"kind": "list", "entries": entries}
 
 
-def expand(descriptor: Dict[str, Any]) -> List[int]:
-    """Materialize a descriptor into a sorted list of 1-based indexes."""
+def sequence(descriptor: Dict[str, Any]) -> Sequence[int]:
+    """The 1-based indexes a descriptor denotes: a ``range`` for range and
+    stride descriptors (nothing materialized), a list otherwise."""
     kind = descriptor.get("kind")
     if kind == "range":
-        return list(range(int(descriptor["lo"]), int(descriptor["hi"]) + 1))
+        return range(int(descriptor["lo"]), int(descriptor["hi"]) + 1)
     if kind == "stride":
-        return list(range(int(descriptor["start"]),
-                          int(descriptor["hi"]) + 1,
-                          int(descriptor["stride"])))
+        return range(int(descriptor["start"]),
+                     int(descriptor["hi"]) + 1,
+                     int(descriptor["stride"]))
     if kind == "list":
         return [int(e) for e in descriptor["entries"]]
     raise ReproError(f"unknown queue/partition descriptor kind {kind!r}")
+
+
+def expand(descriptor: Dict[str, Any]) -> List[int]:
+    """Materialize a descriptor into a list of 1-based indexes."""
+    return list(sequence(descriptor))
+
+
+def queue_key(descriptor: Dict[str, Any]) -> Hashable:
+    """A hashable identity of a descriptor: descriptors denoting the same
+    entries in the same order get equal keys."""
+    if descriptor.get("kind") == "list":
+        return tuple(descriptor["entries"])
+    return sequence(descriptor)
 
 
 def descriptor_size(descriptor: Dict[str, Any]) -> int:

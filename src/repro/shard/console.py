@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.engine.navigator import WaitReason
 from ..core.engine.operator_console import OperatorConsole
 from ..obs.merge import merge_counter_snapshots
 from ..prov import merge_prov_documents, provenance_graph, require_instance
@@ -99,6 +100,12 @@ class ShardedConsole:
         """Failed tasks of one instance, from its owning shard."""
         console, final_id = self._locate(instance_id)
         return console.failed_tasks(final_id)
+
+    def explain_wait(self, instance_id: str, task_path: str) -> WaitReason:
+        """Why a task is not running, from the instance's current home
+        (migration forwards chased)."""
+        console, final_id = self._locate(instance_id)
+        return console.explain_wait(final_id, task_path)
 
     def intermediate_results(self, instance_id: str,
                              prefix: str = "") -> Dict[str, Any]:

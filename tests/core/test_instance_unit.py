@@ -234,3 +234,56 @@ class TestQueries:
         instance.apply(ev.task_completed("A", {"v": "X"}, 1.0, "n", 1.0))
         inputs = instance.resolve_inputs(frame, task, frame.states["B"])
         assert inputs == {"got": "X"}
+
+
+class TestReadySet:
+    """The ready set's pass order is the full scan's (DESIGN.md §17)."""
+
+    @staticmethod
+    def drain(instance):
+        ready = instance.ready
+        ready.begin_pass()
+        visited = []
+        item = ready.next_state()
+        while item is not None:
+            visited.append(item[1].path)
+            item = ready.next_state()
+        return visited
+
+    def test_new_frames_are_all_dirty_then_clean(self):
+        instance = fresh()
+        assert self.drain(instance) == ["A", "B", "Fan"]
+        assert self.drain(instance) == []
+
+    def test_status_change_marks_itself_and_successors(self):
+        instance = fresh()
+        self.drain(instance)
+        instance.apply(ev.task_completed("A", {"v": [1]}, 1.0, "n", 1.0))
+        assert self.drain(instance) == ["A", "B"]
+
+    def test_mark_behind_cursor_and_new_frames_wait_a_pass(self):
+        instance = fresh()
+        self.drain(instance)
+        instance.apply(ev.task_completed("A", {"v": [1, 2]}, 1.0, "n", 1.0))
+        ready = instance.ready
+        ready.begin_pass()
+        assert ready.next_state()[1].path == "A"
+        assert ready.next_state()[1].path == "B"
+        # Behind the cursor (A) and in a frame born mid-pass (Fan/).
+        instance.apply(ev.task_skipped("A", 2.0))
+        instance.apply(ev.parallel_expanded("Fan", [1, 2], 3.0))
+        assert ready.next_state()[1].path == "Fan"
+        assert ready.next_state() is None
+        assert self.drain(instance) == ["A", "B", "Fan/Body[0]",
+                                        "Fan/Body[1]"]
+
+    def test_frame_done_when_last_state_terminal(self):
+        instance = fresh()
+        instance.apply(ev.task_completed("A", {"v": [1, 2]}, 1.0, "n", 1.0))
+        instance.apply(ev.parallel_expanded("Fan", [1, 2], 3.0))
+        frame = instance.frames["Fan/"]
+        instance.apply(ev.task_completed("Fan/Body[0]", {}, 1.0, "n", 4.0))
+        assert instance.ready.next_done_frame() is None
+        instance.apply(ev.task_skipped("Fan/Body[1]", 5.0))
+        assert instance.ready.next_done_frame() is frame
+        assert instance.ready.next_done_frame() is None
